@@ -3,6 +3,7 @@ open Cfq_txdb
 open Cfq_constr
 open Cfq_mining
 open Cfq_core
+open Cfq_exec_pool
 
 let log_src = Logs.Src.create "cfq.service" ~doc:"CFQ query service"
 
@@ -81,26 +82,26 @@ let error_to_string = function
   | Fault e -> "fault: " ^ Cfq_error.to_string e
   | Failed msg -> "failed: " ^ msg
 
-(* one side's cached frequent collection, as mined.  The collection is
-   stored condensed (closed sets only, [Condensed.t]) when the condense
-   knob is on and the round-trip is provably lossless; lookups rebuild the
-   raw collection on demand.  The cache charges the memoized [se_weight],
-   so a condensed entry makes room for more distinct fingerprints under
-   the same budget. *)
-type side_entry = {
-  se_epoch : int;  (* database generation the supports are exact for *)
-  se_info : Item_info.t;  (* shared, immutable; needed to re-key on promotion *)
-  se_info_id : int;
-  se_minsup : int;  (* absolute support it was mined at *)
-  se_max_level : int option;
-  se_constraints : One_var.t list;  (* normalised 1-var conjunction it was mined under *)
-  se_cond : Condensed.t;
-  se_weight : int;  (* memoized cache charge: [Condensed.bytes se_cond] *)
+(* what one side of a query asks for *)
+type side_spec = {
+  sp_info : Item_info.t;  (* shared, immutable; needed to re-key on promotion *)
+  sp_minsup : int;  (* absolute support *)
+  sp_max_level : int option;
+  sp_constraints : One_var.t list;  (* normalised 1-var conjunction *)
 }
 
-(* a cached answer.  With condensation on, the pair list — a near
-   cross-product of the two sides — is stored as deduplicated per-side
-   entry arrays plus two indices per pair, rebuilt on lookup. *)
+(* Cache payloads; both kinds live in [Cache.entry]s stamped with their
+   epoch and charged their memoized weight.  A side is the frequent
+   collection mined for [sd_spec], stored closed-set condensed when the
+   condense knob is on and the round-trip is provably lossless.  An
+   answer's pair list — a near cross-product of the two sides — is stored,
+   with condensation on, as deduplicated per-side entry arrays plus two
+   indices per pair.  Lookups rebuild the raw form on demand. *)
+type side = {
+  sd_spec : side_spec;
+  sd_cond : Condensed.t;
+}
+
 type packed_pairs = {
   pk_s : Frequent.entry array;
   pk_t : Frequent.entry array;
@@ -112,32 +113,35 @@ type stored_pairs =
   | Packed_pairs of packed_pairs
 
 type cached_answer = {
-  ca_epoch : int;
-      (* the epoch the supports are exact for; checked on every lookup *)
-  ca_query : Query.t;  (* simplified query, for degraded covering tests *)
+  ca_query : Query.t;  (* simplified query: covering tests and re-derivation *)
   ca_answer : answer;  (* template with [pairs = []]; pairs live in ca_pairs *)
   ca_pairs : stored_pairs;
-  ca_weight : int;  (* memoized cache charge *)
 }
 
-(* circuit breaker: [Open n] sheds the next [n] admissions, then half-opens;
-   the cooldown is admission-counted, not wall-clock, so breaker behaviour
-   is deterministic under a deterministic submission order *)
+(* Circuit breaker, one instance for the service and one per shard:
+   [Open n] sheds the next [n] admissions, then half-opens.  The cooldown
+   is admission-counted, not wall-clock, so breaker behaviour is
+   deterministic under a deterministic submission order.  Guarded by the
+   service lock. *)
 type breaker_state =
   | Closed
   | Open of int
   | Half_open
+
+type breaker = {
+  mutable br_state : breaker_state;
+  mutable br_consec : int;  (* consecutive failures *)
+  mutable br_trips : int;
+}
 
 (* per-shard health of a sharded backend: failures whose error pages fall
    in a shard's range charge that shard's breaker, so one faulty shard
    degrades its own admissions to cache-only serving while the others keep
    mining.  All fields are guarded by the service lock. *)
 type shard_health = {
-  mutable sh_breaker : breaker_state;
-  mutable sh_consec : int;
+  sh_breaker : breaker;
   mutable sh_admissions : int;
   mutable sh_failures : int;
-  mutable sh_trips : int;
   mutable sh_shed : int;
 }
 
@@ -149,8 +153,8 @@ type t = {
   mutable epoch : int;
       (* monotone database generation, minted by [seal_live]; every cache
          entry is stamped with the epoch its supports are exact for, and
-         every lookup path checks the stamp, so a seal can never serve
-         stale supports *)
+         [Cache] checks the stamp on every lookup and insert, so a seal can
+         never serve stale supports *)
   mutable live_source : Cfq_live.Source.t option;
   service_config : config;
   pool : Pool.t;
@@ -162,14 +166,10 @@ type t = {
          mines calibrate the Auto planner for every later query (updates
          are mutex-guarded inside the record) *)
   lock : Mutex.t;
-  answers : cached_answer Lru.t;
-      (* the epoch and (simplified) query are kept alongside each answer so
-         degraded serving can test whether a cached answer covers a new
-         query — and reject it when it predates the current epoch *)
-  sides : side_entry Lru.t;
+  answers : cached_answer Cache.t;
+  sides : side Cache.t;
   service_metrics : Metrics.t;
-  mutable breaker : breaker_state;
-  mutable consec_failures : int;
+  breaker : breaker;
   mutable consec_rejections : int;
   shard_health : shard_health array;  (* one per shard; [||] unsharded *)
 }
@@ -177,6 +177,8 @@ type t = {
 type ticket =
   | Pooled of (answer, error) result Pool.promise
   | Immediate of (answer, error) result
+
+let new_breaker () = { br_state = Closed; br_consec = 0; br_trips = 0 }
 
 let create ?(config = default_config) ctx =
   (* answers are small relative to collections: 1/4 vs 3/4 of the budget *)
@@ -197,21 +199,13 @@ let create ?(config = default_config) ctx =
     answers = Lru.create ~budget:(budget / 4);
     sides = Lru.create ~budget:(budget - (budget / 4));
     service_metrics = Metrics.create ();
-    breaker = Closed;
-    consec_failures = 0;
+    breaker = new_breaker ();
     consec_rejections = 0;
     shard_health =
       (match Tx_db.shards ctx.Exec.db with
       | Some subs ->
           Array.init (Array.length subs) (fun _ ->
-              {
-                sh_breaker = Closed;
-                sh_consec = 0;
-                sh_admissions = 0;
-                sh_failures = 0;
-                sh_trips = 0;
-                sh_shed = 0;
-              })
+              { sh_breaker = new_breaker (); sh_admissions = 0; sh_failures = 0; sh_shed = 0 })
       | None -> [||]);
   }
 
@@ -230,9 +224,81 @@ let locked t f =
       raise e
 
 (* ------------------------------------------------------------------ *)
-(* weights (approximate bytes, for the cache budget).  The collection byte
-   model lives in [Condensed] so raw and condensed forms are priced by one
-   scale; weights are computed once per insert and memoized on the entry. *)
+(* side specs: what a side asks for, what a cached side covers, and which
+   sets it keeps *)
+
+let side_spec_of (ctx : Exec.ctx) (q : Query.t) side =
+  let info, minsup, constraints =
+    match side with
+    | `S -> (ctx.Exec.s_info, q.Query.s_minsup, q.Query.s_constraints)
+    | `T -> (ctx.Exec.t_info, q.Query.t_minsup, q.Query.t_constraints)
+  in
+  {
+    sp_info = info;
+    sp_minsup = Tx_db.absolute_support ctx.Exec.db minsup;
+    sp_max_level = q.Query.max_level;
+    sp_constraints = constraints;
+  }
+
+let side_key spec =
+  Fingerprint.side_key ~info:spec.sp_info ~minsup_abs:spec.sp_minsup
+    ~max_level:spec.sp_max_level spec.sp_constraints
+
+(* [cached] holds everything [requested] asks for: same attribute table
+   ([Fingerprint.info_id] is physical identity), mined at least as deep and
+   at most as high a threshold, under an entailed constraint set *)
+let spec_covers ~cached ~requested =
+  cached.sp_info == requested.sp_info
+  && cached.sp_minsup <= requested.sp_minsup
+  && (match (cached.sp_max_level, requested.sp_max_level) with
+     | None, _ -> true
+     | Some c, Some r -> c >= r
+     | Some _, None -> false)
+  && Entail.subsumes ~cached:cached.sp_constraints ~requested:requested.sp_constraints
+
+(* a set [spec] wants as far as its support and level go *)
+let in_range spec (e : Frequent.entry) =
+  e.Frequent.support >= spec.sp_minsup
+  &&
+  match spec.sp_max_level with
+  | Some cap -> Itemset.cardinal e.Frequent.set <= cap
+  | None -> true
+
+(* [spec]'s 1-var constraints, counting every evaluation as a check *)
+let satisfies spec checks set =
+  List.for_all
+    (fun c ->
+      incr checks;
+      One_var.eval spec.sp_info c set)
+    spec.sp_constraints
+
+(* a cached collection may exceed the request (lower threshold, weaker
+   constraints, deferred atoms): filter it down to exactly the valid sets *)
+let filter_valid spec freq checks =
+  let out = ref [] in
+  Frequent.iter
+    (fun e -> if in_range spec e && satisfies spec checks e.Frequent.set then out := e :: !out)
+    freq;
+  Array.of_list (List.rev !out)
+
+(* filter each side's collection to its valid sets and join them on [q]'s
+   2-var constraints: the pairs of [q], in formation order *)
+let form_pairs (ctx : Exec.ctx) (q : Query.t) checks (spec_s, freq_s) (spec_t, freq_t) =
+  let valid_s = filter_valid spec_s freq_s checks in
+  let valid_t = filter_valid spec_t freq_t checks in
+  let collected = ref [] in
+  let stats =
+    Pairs.form ~s_info:ctx.Exec.s_info ~t_info:ctx.Exec.t_info ~valid_s ~valid_t
+      ~two_var:q.Query.two_var
+      ~on_pair:(fun es et -> collected := (es, et) :: !collected)
+      ()
+  in
+  (List.rev !collected, stats)
+
+(* ------------------------------------------------------------------ *)
+(* cache entries.  Weights are approximate bytes for the cache budget; the
+   collection byte model lives in [Condensed] so raw and condensed forms
+   are priced on one scale. *)
 
 let entry_weight = Condensed.entry_weight
 
@@ -242,9 +308,6 @@ let raw_answer_weight (a : answer) =
 let packed_weight pk =
   let sum = Array.fold_left (fun acc e -> acc + entry_weight e) in
   256 + sum 0 pk.pk_s + sum 0 pk.pk_t + (8 * Array.length pk.pk_idx)
-
-(* ------------------------------------------------------------------ *)
-(* condensation: the cache's storage format *)
 
 (* CFQ_TEST_CONDENSE=1 routes every cached collection and answer through
    condensation even when the closed form is not smaller — the test
@@ -256,80 +319,78 @@ let force_condense =
 
 let condense_on t = t.service_config.condense || force_condense
 
-(* condense a freshly mined or promoted collection for caching; every side
-   insert is priced through here so the ratio metrics see the full
-   stream *)
-let condense_frequent t freq =
+(* every entry built for the cache is priced for the ratio metrics *)
+let record_condensed t ~raw ~stored ~condensed =
+  locked t (fun () -> Metrics.record_condensed t.service_metrics ~raw ~stored ~condensed)
+
+(* a freshly mined or promoted collection as a side entry, under its key *)
+let side_entry t ~epoch spec freq =
   let cond =
     if condense_on t then Condensed.of_frequent ~force:force_condense freq
     else Condensed.raw freq
   in
-  locked t (fun () ->
-      Metrics.record_condensed t.service_metrics
-        ~raw:(Condensed.raw_bytes cond) ~stored:(Condensed.bytes cond)
-        ~condensed:(Condensed.is_condensed cond));
-  cond
+  record_condensed t ~raw:(Condensed.raw_bytes cond) ~stored:(Condensed.bytes cond)
+    ~condensed:(Condensed.is_condensed cond);
+  ( side_key spec,
+    { Cache.epoch; payload = { sd_spec = spec; sd_cond = cond }; weight = Condensed.bytes cond }
+  )
+
+(* within one answer a side's set determines its entry (all entries of a
+   side come from one collection), so sets key the dedup tables *)
+let pack_pairs pairs =
+  let dedup proj =
+    let tbl = Itemset.Hashtbl.create 64 in
+    let entries = ref [] and n = ref 0 in
+    let idx (e : Frequent.entry) =
+      match Itemset.Hashtbl.find_opt tbl e.Frequent.set with
+      | Some i -> i
+      | None ->
+          let i = !n in
+          incr n;
+          Itemset.Hashtbl.add tbl e.Frequent.set i;
+          entries := e :: !entries;
+          i
+    in
+    let ids = List.map (fun p -> idx (proj p)) pairs in
+    (Array.of_list (List.rev !entries), ids)
+  in
+  let s_entries, s_ids = dedup fst in
+  let t_entries, t_ids = dedup snd in
+  let idx = Array.make (2 * List.length pairs) 0 in
+  List.iteri
+    (fun i (si, ti) ->
+      idx.(2 * i) <- si;
+      idx.((2 * i) + 1) <- ti)
+    (List.combine s_ids t_ids);
+  { pk_s = s_entries; pk_t = t_entries; pk_idx = idx }
+
+(* [a], the answer to the simplified query [q], as an answer entry *)
+let answer_entry t ~epoch q (a : answer) =
+  let raw = raw_answer_weight a in
+  let stored, weight =
+    if condense_on t then
+      let pk = pack_pairs a.pairs in
+      (Packed_pairs pk, packed_weight pk)
+    else (Raw_pairs a.pairs, raw)
+  in
+  record_condensed t ~raw ~stored:weight ~condensed:(condense_on t);
+  {
+    Cache.epoch;
+    payload = { ca_query = q; ca_answer = { a with pairs = [] }; ca_pairs = stored };
+    weight;
+  }
 
 (* rebuild a side's raw collection — one reconstruction paid when the
    closed form is stored.  Never call with [t.lock] held. *)
-let side_frequent t entry =
-  if Condensed.is_condensed entry.se_cond then
+let side_frequent t (e : side Cache.entry) =
+  let cond = e.Cache.payload.sd_cond in
+  if Condensed.is_condensed cond then
     locked t (fun () -> Metrics.record_reconstruction t.service_metrics);
-  Condensed.to_frequent entry.se_cond
-
-let pack_answer t (a : answer) =
-  if not (condense_on t) then (Raw_pairs a.pairs, raw_answer_weight a)
-  else begin
-    (* within one answer a side's set determines its entry (all entries of
-       a side come from one collection), so sets key the dedup tables *)
-    let dedup proj =
-      let tbl = Itemset.Hashtbl.create 64 in
-      let entries = ref [] and n = ref 0 in
-      let idx (e : Frequent.entry) =
-        match Itemset.Hashtbl.find_opt tbl e.Frequent.set with
-        | Some i -> i
-        | None ->
-            let i = !n in
-            incr n;
-            Itemset.Hashtbl.add tbl e.Frequent.set i;
-            entries := e :: !entries;
-            i
-      in
-      let ids = List.map (fun p -> idx (proj p)) a.pairs in
-      (Array.of_list (List.rev !entries), ids)
-    in
-    let s_entries, s_ids = dedup fst in
-    let t_entries, t_ids = dedup snd in
-    let idx = Array.make (2 * List.length a.pairs) 0 in
-    List.iteri
-      (fun i (si, ti) ->
-        idx.(2 * i) <- si;
-        idx.((2 * i) + 1) <- ti)
-      (List.combine s_ids t_ids);
-    let pk = { pk_s = s_entries; pk_t = t_entries; pk_idx = idx } in
-    (Packed_pairs pk, packed_weight pk)
-  end
-
-let make_cached_answer t ~epoch q (a : answer) =
-  let ca_pairs, ca_weight = pack_answer t a in
-  {
-    ca_epoch = epoch;
-    ca_query = q;
-    ca_answer = { a with pairs = [] };
-    ca_pairs;
-    ca_weight;
-  }
-
-(* with [t.lock] held: price an answer insert for the ratio metrics.
-   [a] must still carry its pairs (the raw-equivalent weight needs them). *)
-let record_answer_condensed_locked t (a : answer) ca =
-  Metrics.record_condensed t.service_metrics ~raw:(raw_answer_weight a)
-    ~stored:ca.ca_weight
-    ~condensed:
-      (match ca.ca_pairs with Packed_pairs _ -> true | Raw_pairs _ -> false)
+  Condensed.to_frequent cond
 
 (* with [t.lock] held: rebuild the pair list of a cached answer *)
-let unpack_answer_locked t ca =
+let unpack_answer_locked t (e : cached_answer Cache.entry) =
+  let ca = e.Cache.payload in
   match ca.ca_pairs with
   | Raw_pairs pairs -> { ca.ca_answer with pairs }
   | Packed_pairs pk ->
@@ -337,11 +398,39 @@ let unpack_answer_locked t ca =
       let n = Array.length pk.pk_idx / 2 in
       let pairs = ref [] in
       for i = n - 1 downto 0 do
-        pairs :=
-          (pk.pk_s.(pk.pk_idx.(2 * i)), pk.pk_t.(pk.pk_idx.((2 * i) + 1)))
-          :: !pairs
+        pairs := (pk.pk_s.(pk.pk_idx.(2 * i)), pk.pk_t.(pk.pk_idx.((2 * i) + 1))) :: !pairs
       done;
       { ca.ca_answer with pairs = !pairs }
+
+(* the cached side collection that answers [spec] with the fewest sets *)
+let covering_side spec =
+  Cache.Covering
+    {
+      covers = (fun s -> spec_covers ~cached:s.sd_spec ~requested:spec);
+      rank = (fun s -> Condensed.n_sets s.sd_cond);
+    }
+
+(* with [t.lock] held: the answer-cache hit for [key] at [epoch], served at
+   zero cost with the latency since [t0] *)
+let answer_hit_locked t ~epoch ~t0 key =
+  match Cache.lookup t.answers ~epoch (Cache.Exact key) with
+  | None -> None
+  | Some e ->
+      Metrics.record_answer_hit t.service_metrics;
+      let a = unpack_answer_locked t e in
+      let latency = Unix.gettimeofday () -. t0 in
+      Metrics.record_query t.service_metrics ~latency ~support_counted:0
+        ~constraint_checks:0 ~scans:0 ~pages_read:0;
+      Some
+        {
+          a with
+          served_from = Answer_cache;
+          support_counted = 0;
+          constraint_checks = 0;
+          scans = 0;
+          pages_read = 0;
+          latency_seconds = latency;
+        }
 
 (* ------------------------------------------------------------------ *)
 (* deadline handling *)
@@ -354,89 +443,6 @@ let check_deadline = function
 
 (* ------------------------------------------------------------------ *)
 (* side resolution: cached collection via subsumption, or cold CAP mining *)
-
-type side_spec = {
-  sp_info : Item_info.t;
-  sp_minsup : int;
-  sp_max_level : int option;
-  sp_constraints : One_var.t list;
-}
-
-let side_spec_of (ctx : Exec.ctx) (q : Query.t) = function
-  | `S ->
-      {
-        sp_info = ctx.Exec.s_info;
-        sp_minsup = Tx_db.absolute_support ctx.Exec.db q.Query.s_minsup;
-        sp_max_level = q.Query.max_level;
-        sp_constraints = q.Query.s_constraints;
-      }
-  | `T ->
-      {
-        sp_info = ctx.Exec.t_info;
-        sp_minsup = Tx_db.absolute_support ctx.Exec.db q.Query.t_minsup;
-        sp_max_level = q.Query.max_level;
-        sp_constraints = q.Query.t_constraints;
-      }
-
-(* cached [entry] answers [spec]: current epoch (its supports are exact for
-   the live database), same attribute table, mined at least as deep and at
-   most as high a threshold, under an entailed constraint set.  Side keys
-   carry no database identity — without the epoch check a post-seal lookup
-   would happily serve pre-seal supports. *)
-let entry_answers ~epoch entry spec =
-  entry.se_epoch = epoch
-  && entry.se_info_id = Fingerprint.info_id spec.sp_info
-  && entry.se_minsup <= spec.sp_minsup
-  && (match entry.se_max_level with
-     | None -> true
-     | Some cached_cap -> (
-         match spec.sp_max_level with
-         | Some requested_cap -> cached_cap >= requested_cap
-         | None -> false))
-  && Entail.subsumes ~cached:entry.se_constraints ~requested:spec.sp_constraints
-
-(* call with [t.lock] held *)
-let covering_entry_locked t ~epoch spec =
-  Lru.fold
-    (fun best ~key ~value ->
-      if not (entry_answers ~epoch value spec) then best
-      else
-        match best with
-        | Some (_, b) when Condensed.n_sets b.se_cond <= Condensed.n_sets value.se_cond
-          -> best
-        | _ -> Some (key, value))
-    None t.sides
-
-let find_subsuming t ~epoch spec =
-  locked t (fun () ->
-      match covering_entry_locked t ~epoch spec with
-      | None -> None
-      | Some (key, entry) ->
-          ignore (Lru.find t.sides key : side_entry option) (* bump recency *);
-          Metrics.record_subsumption_hit t.service_metrics;
-          Some entry)
-
-(* the mined collection may exceed the request (lower threshold, weaker
-   constraints, deferred atoms): filter down to exactly the valid sets,
-   counting every 1-var evaluation as a constraint check *)
-let filter_valid spec freq checks =
-  let out = ref [] in
-  Frequent.iter
-    (fun e ->
-      let ok =
-        e.Frequent.support >= spec.sp_minsup
-        && (match spec.sp_max_level with
-           | Some cap -> Itemset.cardinal e.Frequent.set <= cap
-           | None -> true)
-        && List.for_all
-             (fun c ->
-               incr checks;
-               One_var.eval spec.sp_info c e.Frequent.set)
-             spec.sp_constraints
-      in
-      if ok then out := e :: !out)
-    freq;
-  Array.of_list (List.rev !out)
 
 (* drive the CAP state machine one level at a time so the deadline is
    honoured between scans *)
@@ -476,10 +482,18 @@ let mine_side ~deadline ~par ~kernel ~calibrate ~calibration (ctx : Exec.ctx)
   loop ();
   (Cap.result state, Cap.counters state, session)
 
-let resolve_side t ~deadline ~ctx ~epoch spec io counters checks =
+(* [spec]'s collection, raw, and whether the cache supplied it.  The cold
+   path returns the collection as mined: it never pays a reconstruction. *)
+let resolve_side t ~deadline ~ctx ~epoch spec io counters =
   check_deadline deadline;
-  match find_subsuming t ~epoch spec with
-  | Some entry -> (filter_valid spec (side_frequent t entry) checks, true)
+  let hit =
+    locked t (fun () ->
+        let hit = Cache.lookup t.sides ~epoch (covering_side spec) in
+        if Option.is_some hit then Metrics.record_subsumption_hit t.service_metrics;
+        hit)
+  in
+  match hit with
+  | Some e -> (side_frequent t e, true)
   | None ->
       let freq, side_counters, session =
         mine_side ~deadline ~par:t.mine_par ~kernel:t.service_config.kernel
@@ -499,32 +513,11 @@ let resolve_side t ~deadline ~ctx ~epoch spec io counters checks =
               Metrics.observe_calibration_samples t.service_metrics
                 (Counting.calibration_samples t.calibration))
       | None -> ());
-      let cond = condense_frequent t freq in
-      let entry =
-        {
-          se_epoch = epoch;
-          se_info = spec.sp_info;
-          se_info_id = Fingerprint.info_id spec.sp_info;
-          se_minsup = spec.sp_minsup;
-          se_max_level = spec.sp_max_level;
-          se_constraints = spec.sp_constraints;
-          se_cond = cond;
-          se_weight = Condensed.bytes cond;
-        }
-      in
-      let key =
-        Fingerprint.side_key ~info:spec.sp_info ~minsup_abs:spec.sp_minsup
-          ~max_level:spec.sp_max_level spec.sp_constraints
-      in
+      let key, e = side_entry t ~epoch spec freq in
       locked t (fun () ->
           Metrics.record_side_mined t.service_metrics;
-          (* a seal may have raced this mine: supports counted against the
-             pre-seal snapshot must not enter the cache at the new epoch *)
-          if t.epoch = epoch then
-            ignore (Lru.insert t.sides key ~weight:entry.se_weight entry : bool));
-      (* filter the collection as mined: the cold path never pays a
-         reconstruction *)
-      (filter_valid spec freq checks, false)
+          ignore (Cache.insert t.sides ~epoch:t.epoch key e : bool));
+      (freq, false)
 
 (* ------------------------------------------------------------------ *)
 (* one query, in a worker domain *)
@@ -538,29 +531,12 @@ let execute t ~deadline (q : Query.t) =
   let key = Fingerprint.query_key ctx q in
   let cached =
     locked t (fun () ->
-        match Lru.find t.answers key with
-        | Some ca when ca.ca_epoch = epoch ->
-            Metrics.record_answer_hit t.service_metrics;
-            Some (unpack_answer_locked t ca)
-        | Some _ | None ->
-            Metrics.record_answer_miss t.service_metrics;
-            None)
+        let hit = answer_hit_locked t ~epoch ~t0 key in
+        if Option.is_none hit then Metrics.record_answer_miss t.service_metrics;
+        hit)
   in
   match cached with
-  | Some a ->
-      let latency = Unix.gettimeofday () -. t0 in
-      locked t (fun () ->
-          Metrics.record_query t.service_metrics ~latency ~support_counted:0
-            ~constraint_checks:0 ~scans:0 ~pages_read:0);
-      {
-        a with
-        served_from = Answer_cache;
-        support_counted = 0;
-        constraint_checks = 0;
-        scans = 0;
-        pages_read = 0;
-        latency_seconds = latency;
-      }
+  | Some a -> a
   | None ->
       let io = Io_stats.create () in
       let counters = Counters.create () in
@@ -579,27 +555,15 @@ let execute t ~deadline (q : Query.t) =
             notes = rw.Rewrite.notes @ [ "query is unsatisfiable; nothing was mined" ];
           }
         else begin
-          let valid_s, s_cached =
-            resolve_side t ~deadline ~ctx ~epoch (side_spec_of ctx q `S) io
-              counters checks
-          in
-          let valid_t, t_cached =
-            resolve_side t ~deadline ~ctx ~epoch (side_spec_of ctx q `T) io
-              counters checks
-          in
+          let spec_s = side_spec_of ctx q `S and spec_t = side_spec_of ctx q `T in
+          let freq_s, s_cached = resolve_side t ~deadline ~ctx ~epoch spec_s io counters in
+          let freq_t, t_cached = resolve_side t ~deadline ~ctx ~epoch spec_t io counters in
           check_deadline deadline;
-          let collected = ref [] in
-          let pair_stats =
-            Pairs.form ~s_info:ctx.Exec.s_info ~t_info:ctx.Exec.t_info ~valid_s ~valid_t
-              ~two_var:q.Query.two_var
-              ~on_pair:(fun es et -> collected := (es, et) :: !collected)
-              ()
-          in
-          let served_from = if s_cached && t_cached then Subsumed else Cold in
+          let pairs, pair_stats = form_pairs ctx q checks (spec_s, freq_s) (spec_t, freq_t) in
           {
-            pairs = List.rev !collected;
+            pairs;
             n_pairs = pair_stats.Pairs.n_pairs;
-            served_from;
+            served_from = (if s_cached && t_cached then Subsumed else Cold);
             support_counted = Counters.support_counted counters;
             constraint_checks = !checks + pair_stats.Pairs.checks;
             scans = Io_stats.scans io;
@@ -611,12 +575,9 @@ let execute t ~deadline (q : Query.t) =
       in
       let latency = Unix.gettimeofday () -. t0 in
       let answer = { answer with latency_seconds = latency } in
-      let ca = make_cached_answer t ~epoch q answer in
+      let e = answer_entry t ~epoch q answer in
       locked t (fun () ->
-          if t.epoch = epoch then begin
-            record_answer_condensed_locked t answer ca;
-            ignore (Lru.insert t.answers key ~weight:ca.ca_weight ca : bool)
-          end;
+          ignore (Cache.insert t.answers ~epoch:t.epoch key e : bool);
           Metrics.record_query t.service_metrics ~latency
             ~support_counted:answer.support_counted
             ~constraint_checks:answer.constraint_checks ~scans:answer.scans
@@ -629,62 +590,30 @@ let execute t ~deadline (q : Query.t) =
 
 (* ------------------------------------------------------------------ *)
 (* graceful degradation: serve a failed query by filtering a cached
-   superset answer.  The database is immutable and cached pairs carry
-   absolute supports, so filtering an entailed superset answer down to the
-   requested thresholds and constraints yields exactly the requested
-   pairs; what degrades is only the per-query cost accounting and notes. *)
-
-let abs_minsup (ctx : Exec.ctx) frac = Tx_db.absolute_support ctx.Exec.db frac
-
-let level_covers ~cached ~requested =
-  match (cached, requested) with
-  | None, _ -> true
-  | Some _, None -> false
-  | Some c, Some r -> c >= r
+   superset answer.  Cached pairs carry absolute supports exact for their
+   epoch, so filtering an entailed superset answer of the current epoch
+   down to the requested thresholds and constraints yields exactly the
+   requested pairs; what degrades is only the per-query cost accounting
+   and notes. *)
 
 (* every 2-var atom the cached run enforced is requested too, so no pair
    the requested query wants was pruned from the cached answer *)
 let two_var_covers ~cached ~requested =
   List.for_all (fun c -> List.mem c requested) cached
 
-let answer_covers ctx ~(cached_q : Query.t) ~(requested : Query.t) =
-  abs_minsup ctx cached_q.Query.s_minsup <= abs_minsup ctx requested.Query.s_minsup
-  && abs_minsup ctx cached_q.Query.t_minsup <= abs_minsup ctx requested.Query.t_minsup
-  && level_covers ~cached:cached_q.Query.max_level ~requested:requested.Query.max_level
-  && Entail.subsumes ~cached:cached_q.Query.s_constraints
-       ~requested:requested.Query.s_constraints
-  && Entail.subsumes ~cached:cached_q.Query.t_constraints
-       ~requested:requested.Query.t_constraints
-  && two_var_covers ~cached:cached_q.Query.two_var ~requested:requested.Query.two_var
-
-let filter_answer (ctx : Exec.ctx) (requested : Query.t) (a : answer) =
-  let s_min = abs_minsup ctx requested.Query.s_minsup in
-  let t_min = abs_minsup ctx requested.Query.t_minsup in
+let filter_answer (ctx : Exec.ctx) (q : Query.t) (a : answer) =
+  let spec_s = side_spec_of ctx q `S and spec_t = side_spec_of ctx q `T in
   let checks = ref 0 in
-  let keep_level set =
-    match requested.Query.max_level with
-    | Some cap -> Itemset.cardinal set <= cap
-    | None -> true
-  in
-  let one_var info cs set =
-    List.for_all
-      (fun c ->
-        incr checks;
-        One_var.eval info c set)
-      cs
-  in
   let keep ((es : Frequent.entry), (et : Frequent.entry)) =
-    es.Frequent.support >= s_min
-    && et.Frequent.support >= t_min
-    && keep_level es.Frequent.set && keep_level et.Frequent.set
-    && one_var ctx.Exec.s_info requested.Query.s_constraints es.Frequent.set
-    && one_var ctx.Exec.t_info requested.Query.t_constraints et.Frequent.set
+    in_range spec_s es && in_range spec_t et
+    && satisfies spec_s checks es.Frequent.set
+    && satisfies spec_t checks et.Frequent.set
     && List.for_all
          (fun c ->
            incr checks;
            Two_var.eval ~s_info:ctx.Exec.s_info ~t_info:ctx.Exec.t_info c
              es.Frequent.set et.Frequent.set)
-         requested.Query.two_var
+         q.Query.two_var
   in
   let pairs = List.filter keep a.pairs in
   {
@@ -699,54 +628,67 @@ let filter_answer (ctx : Exec.ctx) (requested : Query.t) (a : answer) =
     notes = [ "degraded: filtered from a cached superset answer" ];
   }
 
-(* call with [t.lock] held *)
-let degraded_lookup_locked t (q : Query.t) =
-  if not t.service_config.degrade then None
+(* with [t.lock] held: the most recent cached answer of the current epoch
+   that covers the simplified query, filtered down to it *)
+let degraded_locked t (rw : Rewrite.outcome) =
+  if (not t.service_config.degrade) || rw.Rewrite.s_unsat || rw.Rewrite.t_unsat then None
   else begin
-    let rw = Rewrite.simplify q in
-    let q = rw.Rewrite.query in
-    if rw.Rewrite.s_unsat || rw.Rewrite.t_unsat then None
-    else begin
-      (* MRU-first: the first covering answer is the most recent one.
-         Degraded serving folds over answer *values*, not keys, so the
-         epoch stamp is the only thing keeping pre-seal supports out *)
-      let hit =
-        Lru.fold
-          (fun best ~key ~value:ca ->
-            match best with
-            | Some _ -> best
-            | None ->
-                if
-                  ca.ca_epoch = t.epoch
-                  && answer_covers t.service_ctx ~cached_q:ca.ca_query
-                       ~requested:q
-                then Some (key, ca)
-                else None)
-          None t.answers
-      in
-      match hit with
-      | None -> None
-      | Some (key, ca) ->
-          ignore (Lru.find t.answers key : cached_answer option)
-          (* bump recency *);
-          Metrics.record_degraded t.service_metrics;
-          Some (filter_answer t.service_ctx q (unpack_answer_locked t ca))
-    end
+    let ctx = t.service_ctx and q = rw.Rewrite.query in
+    let spec_s = side_spec_of ctx q `S and spec_t = side_spec_of ctx q `T in
+    let covers ca =
+      let cq = ca.ca_query in
+      spec_covers ~cached:(side_spec_of ctx cq `S) ~requested:spec_s
+      && spec_covers ~cached:(side_spec_of ctx cq `T) ~requested:spec_t
+      && two_var_covers ~cached:cq.Query.two_var ~requested:q.Query.two_var
+    in
+    match
+      Cache.lookup t.answers ~epoch:t.epoch (Cache.Covering { covers; rank = (fun _ -> 0) })
+    with
+    | None -> None
+    | Some e ->
+        Metrics.record_degraded t.service_metrics;
+        Some (filter_answer ctx q (unpack_answer_locked t e))
   end
 
 (* ------------------------------------------------------------------ *)
-(* circuit breaker *)
+(* circuit breakers *)
 
-(* call with [t.lock] held *)
-let trip_locked t =
-  Metrics.record_breaker_trip t.service_metrics;
-  t.breaker <- Open (max 1 t.service_config.breaker_cooldown)
+(* with [t.lock] held: an admission through [b].  [false] while open: the
+   admission counts toward the cooldown and must be served from the
+   caches or shed *)
+let breaker_passes b =
+  match b.br_state with
+  | Closed | Half_open -> true
+  | Open n ->
+      b.br_state <- (if n <= 1 then Half_open else Open (n - 1));
+      false
 
-(* call with [t.lock] held *)
-let trip_shard_locked t k =
-  let sh = t.shard_health.(k) in
-  sh.sh_trips <- sh.sh_trips + 1;
-  sh.sh_breaker <- Open (max 1 t.service_config.breaker_cooldown)
+(* with [t.lock] held *)
+let trip t b =
+  b.br_trips <- b.br_trips + 1;
+  b.br_state <- Open (max 1 t.service_config.breaker_cooldown)
+
+(* with [t.lock] held: a failure while half-open reopens [b], and
+   [breaker_threshold] consecutive failures trip it.  [true] on a trip. *)
+let breaker_failure t b =
+  b.br_consec <- b.br_consec + 1;
+  let threshold = t.service_config.breaker_threshold in
+  let trips =
+    threshold > 0
+    &&
+    match b.br_state with
+    | Half_open -> true
+    | Closed -> b.br_consec >= threshold
+    | Open _ -> false
+  in
+  if trips then trip t b;
+  trips
+
+(* with [t.lock] held: a success closes [b] (in particular a half-open
+   probe) *)
+let breaker_success b =
+  b.br_consec <- 0;
+  b.br_state <- Closed
 
 (* attribute a failure to the shard owning its error page.  Only faults
    installed on individual shards are attributable: with an injector on
@@ -763,52 +705,28 @@ let shard_of_error t (e : Cfq_error.t) =
         | exception Invalid_argument _ -> None)
     | Cfq_error.Deadline | Cfq_error.Overload | Cfq_error.Query_crash _ -> None
 
-(* call with [t.lock] held *)
+(* with [t.lock] held *)
 let shard_note_failure_locked t e =
   match shard_of_error t e with
   | None -> ()
   | Some k ->
       let sh = t.shard_health.(k) in
       sh.sh_failures <- sh.sh_failures + 1;
-      sh.sh_consec <- sh.sh_consec + 1;
-      if t.service_config.breaker_threshold > 0 then (
-        match sh.sh_breaker with
-        | Half_open -> trip_shard_locked t k
-        | Closed when sh.sh_consec >= t.service_config.breaker_threshold ->
-            trip_shard_locked t k
-        | Closed | Open _ -> ())
+      ignore (breaker_failure t sh.sh_breaker : bool)
 
-(* a cold success proves every shard served its slice: close all shard
-   breakers.  Cache-served answers prove nothing about the shards and
-   leave them untouched. *)
-let shard_note_cold_success t =
-  if Array.length t.shard_health > 0 then
-    locked t (fun () ->
-        Array.iter
-          (fun sh ->
-            sh.sh_consec <- 0;
-            sh.sh_breaker <- Closed)
-          t.shard_health)
-
-(* settle the breaker on the raw (pre-degradation) outcome of an executed
-   query: any success closes it (in particular a half-open probe), any
-   failure while half-open reopens it, and [breaker_threshold] consecutive
-   failures trip it *)
-let breaker_note_outcome t ~ok =
-  if t.service_config.breaker_threshold > 0 then
-    locked t (fun () ->
-        if ok then begin
-          t.consec_failures <- 0;
-          t.breaker <- Closed
-        end
-        else begin
-          t.consec_failures <- t.consec_failures + 1;
-          match t.breaker with
-          | Half_open -> trip_locked t
-          | Closed when t.consec_failures >= t.service_config.breaker_threshold ->
-              trip_locked t
-          | Closed | Open _ -> ()
-        end)
+(* Settle the breakers on the raw (pre-degradation) outcome of an executed
+   query.  Any success closes the global breaker and any failure charges
+   it.  Only an answer that scanned proves every shard served its slice
+   and closes the shard breakers: cache-served answers and the
+   unsatisfiable-query shortcut read nothing. *)
+let breakers_note_outcome t raw =
+  locked t (fun () ->
+      match raw with
+      | Ok a ->
+          breaker_success t.breaker;
+          if a.scans > 0 then
+            Array.iter (fun sh -> breaker_success sh.sh_breaker) t.shard_health
+      | Error _ -> if breaker_failure t t.breaker then Metrics.record_breaker_trip t.service_metrics)
 
 (* ------------------------------------------------------------------ *)
 (* retries and the guarded query wrapper *)
@@ -864,14 +782,11 @@ let guarded t ~deadline q () =
     | exception e -> fail (Cfq_error.Query_crash (Printexc.to_string e))
   in
   let raw = attempt 0 in
-  breaker_note_outcome t ~ok:(match raw with Ok _ -> true | Error _ -> false);
-  (match raw with
-  | Ok a when a.served_from = Cold -> shard_note_cold_success t
-  | _ -> ());
+  breakers_note_outcome t raw;
   match raw with
   | Ok _ -> raw
   | Error (Fault _ | Deadline_exceeded) -> (
-      match locked t (fun () -> degraded_lookup_locked t q) with
+      match locked t (fun () -> degraded_locked t (Rewrite.simplify q)) with
       | Some a -> Ok a
       | None -> raw)
   | Error _ -> raw
@@ -884,85 +799,46 @@ let absolute_deadline t deadline =
   | Some d, _ | None, Some d -> Some (Unix.gettimeofday () +. d)
   | None, None -> None
 
-(* admission decision under the breaker.  While open, queries that the
-   caches can answer without touching the database are still served;
-   everything else is shed, counting down to a half-open probe. *)
 (* with [t.lock] held: serve an admission arriving while some breaker is
    open from the caches alone, or shed it *)
 let open_serve_locked t (q : Query.t) =
+  let t0 = Unix.gettimeofday () in
   let rw = Rewrite.simplify q in
-  let q' = rw.Rewrite.query in
-  let key = Fingerprint.query_key t.service_ctx q' in
-  match Lru.find t.answers key with
-  | Some ca when ca.ca_epoch = t.epoch ->
-      Metrics.record_answer_hit t.service_metrics;
-      Metrics.record_query t.service_metrics ~latency:0. ~support_counted:0
-        ~constraint_checks:0 ~scans:0 ~pages_read:0;
-      let a = unpack_answer_locked t ca in
-      `Serve
-        {
-          a with
-          served_from = Answer_cache;
-          support_counted = 0;
-          constraint_checks = 0;
-          scans = 0;
-          pages_read = 0;
-          latency_seconds = 0.;
-        }
-  | Some _ | None -> (
-      match degraded_lookup_locked t q' with
+  let key = Fingerprint.query_key t.service_ctx rw.Rewrite.query in
+  match answer_hit_locked t ~epoch:t.epoch ~t0 key with
+  | Some a -> `Serve a
+  | None -> (
+      match degraded_locked t rw with
       | Some a -> `Serve a
       | None ->
           Metrics.record_shed t.service_metrics;
           `Shed)
 
-let breaker_admit t (q : Query.t) =
+(* Admission under the breakers: the global one first, then the shards'.
+   An admitted query fans over every shard, so one open shard breaker
+   degrades it to cache-only serving while that shard cools down; a
+   half-open breaker admits the probe.  Every admission while open counts
+   toward the cooldown, served from cache or shed alike, so a breaker
+   always half-opens after [breaker_cooldown] admissions. *)
+let admit t (q : Query.t) =
   if t.service_config.breaker_threshold <= 0 then `Admit
   else
     locked t (fun () ->
-        match t.breaker with
-        | Closed | Half_open -> `Admit
-        | Open n ->
-            (* every admission while open counts toward the cooldown, served
-               from cache or shed alike, so the breaker always half-opens
-               after [breaker_cooldown] admissions *)
-            t.breaker <- (if n <= 1 then Half_open else Open (n - 1));
-            open_serve_locked t q)
-
-(* per-shard admission gate: an admitted query fans over every shard, so
-   one open shard breaker degrades it to cache-only serving while that
-   shard cools down; a half-open shard admits the probe.  Runs after the
-   global gate, with the same admission-counted cooldown discipline. *)
-let shard_breaker_admit t (q : Query.t) =
-  if Array.length t.shard_health = 0 || t.service_config.breaker_threshold <= 0
-  then `Admit
-  else
-    locked t (fun () ->
-        let opened = ref None in
-        Array.iteri
-          (fun k sh ->
-            if !opened = None then
-              match sh.sh_breaker with
-              | Open n ->
-                  sh.sh_breaker <- (if n <= 1 then Half_open else Open (n - 1));
-                  opened := Some k
-              | Closed | Half_open -> ())
-          t.shard_health;
-        match !opened with
-        | None -> `Admit
-        | Some k -> (
-            match open_serve_locked t q with
-            | `Serve a -> `Serve a
-            | `Shed ->
-                t.shard_health.(k).sh_shed <- t.shard_health.(k).sh_shed + 1;
-                `Shed))
+        if not (breaker_passes t.breaker) then open_serve_locked t q
+        else
+          (* stops at the first open shard breaker: only that one counts
+             the admission toward its cooldown *)
+          match Array.find_opt (fun sh -> not (breaker_passes sh.sh_breaker)) t.shard_health with
+          | None -> `Admit
+          | Some sh -> (
+              match open_serve_locked t q with
+              | `Serve a -> `Serve a
+              | `Shed ->
+                  sh.sh_shed <- sh.sh_shed + 1;
+                  `Shed))
 
 let submit_abs t ~deadline q =
-  match
-    match breaker_admit t q with
-    | `Admit -> shard_breaker_admit t q
-    | (`Serve _ | `Shed) as r -> r
-  with
+  match admit t q with
   | `Serve a -> Ok (Immediate (Ok a))
   | `Shed -> Error Overloaded
   | `Admit -> (
@@ -981,10 +857,11 @@ let submit_abs t ~deadline q =
               t.consec_rejections <- t.consec_rejections + 1;
               if
                 t.service_config.breaker_threshold > 0
-                && t.breaker = Closed
+                && t.breaker.br_state = Closed
                 && t.consec_rejections >= t.service_config.breaker_threshold
               then begin
-                trip_locked t;
+                trip t t.breaker;
+                Metrics.record_breaker_trip t.service_metrics;
                 t.consec_rejections <- 0
               end);
           Error Rejected
@@ -1056,9 +933,9 @@ let metrics t =
                  Metrics.shard = k;
                  shard_admissions = sh.sh_admissions;
                  shard_failures = sh.sh_failures;
-                 shard_trips = sh.sh_trips;
+                 shard_trips = sh.sh_breaker.br_trips;
                  shard_shed = sh.sh_shed;
-                 shard_breaker = breaker_name sh.sh_breaker;
+                 shard_breaker = breaker_name sh.sh_breaker.br_state;
                  shard_scans =
                    (match io with Some io -> Io_stats.scans io | None -> 0);
                  shard_pages_read =
@@ -1118,16 +995,18 @@ let ingest t items =
   | Some src -> Cfq_live.Source.append_tx src items
   | None -> invalid_arg "Service.ingest: no live source attached"
 
-(* the maintenance pass for one seal.  Promotions count only the resident
-   delta twin (plus at most one old-database scan per entry, for seeded
-   candidates); cached answers are then re-derived from the promoted
-   collections — the same filter + pair formation the subsumption path
-   runs, no scans at all.  Inserts are guarded by the epoch: if another
-   seal raced us, our results are stale and the final purge removes them. *)
+(* The maintenance pass for one seal.  Sides are promoted by FUP, counting
+   only the resident delta twin (plus at most one old-database scan per
+   entry, for seeded candidates); cached answers are then re-derived from
+   the promoted collections — the same filter and pair formation the
+   subsumption path runs, no scans at all.  Every promotion goes through
+   [Cache.promote], which drops it if another seal raced us; the final
+   purge then removes whatever is still stale. *)
 let maintain t ~old_ctx ~new_ctx ~new_epoch ~(delta : Cfq_live.Delta.t) ~maint_io
     ~stale_sides ~stale_answers () =
   let sides_promoted = ref 0 and sides_evicted = ref 0 in
   let answers_promoted = ref 0 and answers_evicted = ref 0 in
+  let tally promoted evicted ok = incr (if ok then promoted else evicted) in
   let recounted = ref 0 and old_scans = ref 0 in
   (* one Level_stats per seal: every promotion's FUP rows land here, so the
      pass's per-level cost is observable alongside the Metrics counters *)
@@ -1138,121 +1017,61 @@ let maintain t ~old_ctx ~new_ctx ~new_epoch ~(delta : Cfq_live.Delta.t) ~maint_i
       (Item_info.universe_size old_ctx.Exec.t_info)
   in
   List.iter
-    (fun (key, e) ->
-      if e.se_epoch < new_epoch then begin
+    (fun (old_key, (e : side Cache.entry)) ->
+      if e.Cache.epoch < new_epoch then begin
+        let spec = e.Cache.payload.sd_spec in
         match
           (* a condensed entry is rebuilt first: FUP delta-counts the full
-             collection (reconstructed from its closed sets), and the
-             promoted result is re-closed below before re-insertion *)
+             collection, and [side_entry] re-closes the promoted result *)
           Cfq_live.Maintain.promote ~stats:lstats ~old_db:old_ctx.Exec.db ~delta
-            maint_io ~old_minsup:e.se_minsup ~max_level:e.se_max_level
+            maint_io ~old_minsup:spec.sp_minsup ~max_level:spec.sp_max_level
             ~universe_size:universe (side_frequent t e)
         with
         | exception _ ->
             (* a faulted promotion leaves the entry stale; the purge below
                removes it, so the cache still lands on a consistent epoch *)
             incr sides_evicted
-        | freq', m', pstats ->
+        | freq', minsup', pstats ->
             recounted := !recounted + pstats.Cfq_live.Maintain.recounted;
             old_scans := !old_scans + pstats.Cfq_live.Maintain.old_scans;
-            let cond' = condense_frequent t freq' in
-            let e' =
-              {
-                e with
-                se_epoch = new_epoch;
-                se_minsup = m';
-                se_cond = cond';
-                se_weight = Condensed.bytes cond';
-              }
+            let key, e' =
+              side_entry t ~epoch:new_epoch { spec with sp_minsup = minsup' } freq'
             in
-            let key' =
-              Fingerprint.side_key ~info:e.se_info ~minsup_abs:m'
-                ~max_level:e.se_max_level e.se_constraints
-            in
-            locked t (fun () ->
-                if t.epoch = new_epoch then begin
-                  (* the old binding may have been re-keyed over by another
-                     promotion landing on this key (its threshold moved onto
-                     ours): remove only while it is still stale *)
-                  (match Lru.find t.sides key with
-                  | Some cur when cur.se_epoch < new_epoch ->
-                      Lru.remove t.sides key
-                  | Some _ | None -> ());
-                  if Lru.insert t.sides key' ~weight:e'.se_weight e' then
-                    incr sides_promoted
-                  else incr sides_evicted
-                end)
+            tally sides_promoted sides_evicted
+              (locked t (fun () -> Cache.promote t.sides ~epoch:t.epoch ~old_key key e'))
       end)
     stale_sides;
   List.iter
-    (fun (old_key, ca) ->
-      if ca.ca_epoch < new_epoch then begin
+    (fun (old_key, (e : cached_answer Cache.entry)) ->
+      if e.Cache.epoch < new_epoch then begin
+        let ca = e.Cache.payload in
         let q = ca.ca_query in
-        let checks = ref 0 in
-        let covering =
-          locked t (fun () ->
-              if t.epoch <> new_epoch then None
-              else
-                let spec_s = side_spec_of new_ctx q `S in
-                let spec_t = side_spec_of new_ctx q `T in
-                match
-                  ( covering_entry_locked t ~epoch:new_epoch spec_s,
-                    covering_entry_locked t ~epoch:new_epoch spec_t )
-                with
-                | Some (_, es), Some (_, et) -> Some (spec_s, spec_t, es, et)
-                | _ -> None)
+        let spec_s = side_spec_of new_ctx q `S and spec_t = side_spec_of new_ctx q `T in
+        let covering spec =
+          Cache.lookup ~bump:false t.sides ~epoch:new_epoch (covering_side spec)
         in
-        match covering with
-        | None ->
-            locked t (fun () -> Lru.remove t.answers old_key);
-            incr answers_evicted
-        | Some (spec_s, spec_t, es, et) ->
-            let valid_s = filter_valid spec_s (side_frequent t es) checks in
-            let valid_t = filter_valid spec_t (side_frequent t et) checks in
-            let collected = ref [] in
-            let pair_stats =
-              Pairs.form ~s_info:new_ctx.Exec.s_info ~t_info:new_ctx.Exec.t_info
-                ~valid_s ~valid_t ~two_var:q.Query.two_var
-                ~on_pair:(fun es et -> collected := (es, et) :: !collected)
-                ()
-            in
-            let a' =
-              {
-                ca.ca_answer with
-                pairs = List.rev !collected;
-                n_pairs = pair_stats.Pairs.n_pairs;
-              }
-            in
-            let ca' = make_cached_answer t ~epoch:new_epoch q a' in
-            let key' = Fingerprint.query_key new_ctx q in
-            locked t (fun () ->
-                Lru.remove t.answers old_key;
-                if t.epoch = new_epoch then
-                  record_answer_condensed_locked t a' ca';
-                if
-                  t.epoch = new_epoch
-                  && Lru.insert t.answers key' ~weight:ca'.ca_weight ca'
-                then incr answers_promoted
-                else incr answers_evicted)
+        tally answers_promoted answers_evicted
+          (match locked t (fun () -> (covering spec_s, covering spec_t)) with
+          | Some es, Some et ->
+              let freq_s = side_frequent t es in
+              let freq_t = side_frequent t et in
+              let pairs, pair_stats =
+                form_pairs new_ctx q (ref 0) (spec_s, freq_s) (spec_t, freq_t)
+              in
+              let a' = { ca.ca_answer with pairs; n_pairs = pair_stats.Pairs.n_pairs } in
+              let e' = answer_entry t ~epoch:new_epoch q a' in
+              let key = Fingerprint.query_key new_ctx q in
+              locked t (fun () -> Cache.promote t.answers ~epoch:t.epoch ~old_key key e')
+          | _ ->
+              locked t (fun () -> Cache.retire t.answers ~epoch:new_epoch old_key);
+              false)
       end)
     stale_answers;
   (* whatever is still stale — faulted promotions, budget-refused inserts,
      raced seals — goes now: every surviving entry is at the live epoch *)
   locked t (fun () ->
-      let side_keys =
-        Lru.fold
-          (fun acc ~key ~value ->
-            if value.se_epoch < t.epoch then key :: acc else acc)
-          [] t.sides
-      in
-      List.iter (Lru.remove t.sides) side_keys;
-      let answer_keys =
-        Lru.fold
-          (fun acc ~key ~value ->
-            if value.ca_epoch < t.epoch then key :: acc else acc)
-          [] t.answers
-      in
-      List.iter (Lru.remove t.answers) answer_keys;
+      Cache.purge t.sides ~epoch:t.epoch;
+      Cache.purge t.answers ~epoch:t.epoch;
       Metrics.record_maintenance t.service_metrics ~sides_promoted:!sides_promoted
         ~sides_evicted:!sides_evicted ~answers_promoted:!answers_promoted
         ~answers_evicted:!answers_evicted ~recounted:!recounted
@@ -1297,11 +1116,8 @@ let seal_live t =
                 t.service_ctx <- new_ctx;
                 t.epoch <- new_epoch;
                 Metrics.record_seal t.service_metrics ~epoch:new_epoch;
-                (* fold is MRU-first; consing flips to LRU-first, so
-                   re-insertions preserve the recency order *)
-                ( Lru.fold (fun acc ~key ~value -> (key, value) :: acc) [] t.sides,
-                  Lru.fold (fun acc ~key ~value -> (key, value) :: acc) [] t.answers
-                ))
+                (* LRU-first, so re-insertions preserve the recency order *)
+                (Cache.lru_first t.sides, Cache.lru_first t.answers))
           in
           (* the pass runs on a worker domain (bounded admission: the pool's
              queue), inline in the caller when the queue is full *)

@@ -229,6 +229,16 @@ let broad_query =
     ~two_var:[ Two_var.Set2 (typ, Two_var.Intersect, typ) ]
     ()
 
+(* the analyst tightens [broad_query]: higher thresholds, strictly stronger
+   constraints *)
+let tightened =
+  Query.make ~s_minsup:0.15 ~t_minsup:0.2
+    ~s_constraints:
+      [ One_var.Agg_cmp (Agg.Min, price, Cmp.Ge, 30.); One_var.Card_cmp (Cmp.Le, 3) ]
+    ~t_constraints:[ One_var.Agg_cmp (Agg.Max, price, Cmp.Le, 50.) ]
+    ~two_var:[ Two_var.Set2 (typ, Two_var.Intersect, typ) ]
+    ()
+
 let service_answer_cache_hit () =
   let ctx = fixture () in
   let service = Service.create ~config:{ Service.default_config with domains = 1 } ctx in
@@ -253,15 +263,6 @@ let service_subsumption_reuse () =
   let service = Service.create ~config:{ Service.default_config with domains = 1 } ctx in
   Fun.protect ~finally:(fun () -> Service.shutdown service) @@ fun () ->
   ignore (check_against_exec ctx service "broad query matches Exec" broad_query : Service.answer);
-  (* the analyst tightens: higher thresholds, strictly stronger constraints *)
-  let tightened =
-    Query.make ~s_minsup:0.15 ~t_minsup:0.2
-      ~s_constraints:
-        [ One_var.Agg_cmp (Agg.Min, price, Cmp.Ge, 30.); One_var.Card_cmp (Cmp.Le, 3) ]
-      ~t_constraints:[ One_var.Agg_cmp (Agg.Max, price, Cmp.Le, 50.) ]
-      ~two_var:[ Two_var.Set2 (typ, Two_var.Intersect, typ) ]
-      ()
-  in
   let r = check_against_exec ctx service "tightened query matches Exec" tightened in
   Alcotest.(check string) "served by filtering cached collections" "subsumed"
     (Service.served_from_name r.Service.served_from);
@@ -324,14 +325,6 @@ let service_condensed_matches_raw () =
       Service.shutdown raw;
       Service.shutdown cond)
   @@ fun () ->
-  let tightened =
-    Query.make ~s_minsup:0.15 ~t_minsup:0.2
-      ~s_constraints:
-        [ One_var.Agg_cmp (Agg.Min, price, Cmp.Ge, 30.); One_var.Card_cmp (Cmp.Le, 3) ]
-      ~t_constraints:[ One_var.Agg_cmp (Agg.Max, price, Cmp.Le, 50.) ]
-      ~two_var:[ Two_var.Set2 (typ, Two_var.Intersect, typ) ]
-      ()
-  in
   let sweep =
     List.map
       (fun minsup -> Query.make ~s_minsup:minsup ~t_minsup:minsup ~max_level:1 ())
@@ -368,6 +361,167 @@ let service_condensed_matches_raw () =
   Alcotest.(check bool) "stored bytes never exceed raw" true
     (m.Metrics.cond_bytes <= m.Metrics.cond_raw_bytes);
   Alcotest.(check bool) "lookups reconstructed" true (m.Metrics.reconstructions > 0)
+
+(* ------------------------------------------------------------------ *)
+(* the one lookup: [Cache] behind every cache path *)
+
+(* payload: (name, rank, covers) *)
+let cache_entry epoch name rank covers =
+  { Cache.epoch; payload = (name, rank, covers); weight = 1 }
+
+let cache_add c key e = ignore (Cache.insert c ~epoch:e.Cache.epoch key e : bool)
+
+let picked ?bump c ~epoch =
+  let probe =
+    Cache.Covering { covers = (fun (_, _, cv) -> cv); rank = (fun (_, r, _) -> r) }
+  in
+  Option.map
+    (fun e ->
+      let name, _, _ = e.Cache.payload in
+      name)
+    (Cache.lookup ?bump c ~epoch probe)
+
+let lru_keys c = List.map fst (Cache.lru_first c)
+
+(* the covering choice the replay benchmark copies: fewest sets among the
+   entries that cover, the most recently used on a tie *)
+let cache_covering_choice () =
+  let c = Lru.create ~budget:100 in
+  cache_add c "big" (cache_entry 1 "big" 5 true);
+  cache_add c "old" (cache_entry 1 "old" 2 true);
+  cache_add c "new" (cache_entry 1 "new" 2 true);
+  cache_add c "narrow" (cache_entry 1 "narrow" 1 false);
+  Alcotest.(check (option string)) "fewest sets, most recent on a tie" (Some "new")
+    (picked c ~epoch:1);
+  ignore (Lru.find c "old" : _ option);
+  Alcotest.(check (option string)) "a bump moves the tie" (Some "old") (picked c ~epoch:1);
+  cache_add c "big" (cache_entry 1 "big" 5 true);
+  Alcotest.(check (option string)) "recency never beats fewer sets" (Some "old")
+    (picked c ~epoch:1);
+  Alcotest.(check (list string)) "the hit was bumped" [ "narrow"; "new"; "big"; "old" ]
+    (lru_keys c);
+  cache_add c "narrow" (cache_entry 1 "narrow" 1 false);
+  Alcotest.(check (option string)) "a peek picks alike" (Some "old")
+    (picked ~bump:false c ~epoch:1);
+  Alcotest.(check (list string)) "a peek leaves recency" [ "new"; "big"; "old"; "narrow" ]
+    (lru_keys c);
+  Alcotest.(check (option string)) "nothing covers at another epoch" None
+    (picked c ~epoch:2)
+
+(* exact and covering lookups, on a bare cache and through the service's
+   side and answer caches, never return an entry of an older epoch *)
+let cache_refuses_older_epochs () =
+  let c = Lru.create ~budget:100 in
+  cache_add c "stale" (cache_entry 0 "stale" 0 true);
+  cache_add c "fresh" (cache_entry 1 "fresh" 3 true);
+  Alcotest.(check (option string)) "covering skips the older, smaller entry" (Some "fresh")
+    (picked c ~epoch:1);
+  Alcotest.(check bool) "exact lookup refuses it" true
+    (Cache.lookup c ~epoch:1 (Cache.Exact "stale") = None);
+  Alcotest.(check bool) "at its own epoch it serves" true
+    (Cache.lookup c ~epoch:0 (Cache.Exact "stale") <> None);
+  (* a seal the service did not run leaves every cached entry one epoch
+     old: no path may serve one *)
+  let txs = List.init 40 (fun i -> [ i mod 6; ((i * 2) + 1) mod 6; ((i * 3) + 2) mod 6 ]) in
+  let src = Cfq_live.Source.of_mem (Array.of_list (List.map Itemset.of_list txs)) in
+  let ctx = Exec.context (Cfq_live.Source.db src) (Helpers.small_info 6) in
+  let config =
+    {
+      Service.default_config with
+      domains = 1;
+      retries = 0;
+      breaker_threshold = 1;
+      breaker_cooldown = 1;
+    }
+  in
+  let service = Service.create ~config ctx in
+  Fun.protect ~finally:(fun () -> Service.shutdown service) @@ fun () ->
+  Service.attach_source service src;
+  let served q =
+    match Service.run service q with
+    | Ok a -> Service.served_from_name a.Service.served_from
+    | Error e -> Service.error_to_string e
+  in
+  Alcotest.(check string) "cold" "cold" (served broad_query);
+  Alcotest.(check string) "answer cache" "answer-cache" (served broad_query);
+  Alcotest.(check string) "subsumed" "subsumed" (served tightened);
+  Cfq_live.Source.append_tx src (Itemset.of_list [ 0; 1 ]);
+  ignore (Cfq_live.Source.seal src (Cfq_txdb.Io_stats.create ()) : _ option);
+  Service.attach_source service src;
+  Alcotest.(check int) "epoch moved" 1 (Service.epoch service);
+  (* with the store failing, only an old entry could answer: the exact
+     answer, the covering sides and the degraded covering answer all pass *)
+  let fail_all =
+    Cfq_txdb.Fault.create { Cfq_txdb.Fault.default_config with transient_p = 1.0 }
+  in
+  Cfq_txdb.Tx_db.set_faults ctx.Exec.db (Some fail_all);
+  (match Service.run service tightened with
+  | Error (Service.Fault _) -> ()
+  | Ok a -> Alcotest.failf "served %s from an older epoch" (Service.served_from_name a.Service.served_from)
+  | Error e -> Alcotest.failf "expected a fault, got %s" (Service.error_to_string e));
+  (* ... and so does breaker-open serving *)
+  Alcotest.(check string) "breaker-open admission shed" "overloaded: circuit breaker open"
+    (served broad_query);
+  Cfq_txdb.Tx_db.set_faults ctx.Exec.db None;
+  Alcotest.(check string) "the old answer is not reused" "cold" (served broad_query);
+  Alcotest.(check string) "current-epoch sides serve again" "subsumed" (served tightened)
+
+(* an insert heavier than the whole budget is refused, and one computed
+   before a seal moved the cache on is dropped *)
+let cache_insert_guards () =
+  let c = Lru.create ~budget:10 in
+  Alcotest.(check bool) "oversized refused" false
+    (Cache.insert c ~epoch:1 "huge" { (cache_entry 1 "huge" 0 true) with weight = 11 });
+  Alcotest.(check bool) "raced insert dropped" false
+    (Cache.insert c ~epoch:2 "late" (cache_entry 1 "late" 0 true));
+  Alcotest.(check int) "nothing stored" 0 (Lru.length c);
+  cache_add c "old" (cache_entry 1 "old" 0 true);
+  Alcotest.(check bool) "raced promotion dropped" false
+    (Cache.promote c ~epoch:3 ~old_key:"old" "new" (cache_entry 2 "new" 0 true));
+  Alcotest.(check bool) "promotion lands" true
+    (Cache.promote c ~epoch:2 ~old_key:"old" "new" (cache_entry 2 "new" 0 true));
+  Alcotest.(check (list string)) "old binding retired" [ "new" ] (lru_keys c);
+  (* through the service: a budget too small for any entry caches nothing *)
+  let ctx = fixture () in
+  let service =
+    Service.create ~config:{ Service.default_config with domains = 1; cache_budget = 64 } ctx
+  in
+  Fun.protect ~finally:(fun () -> Service.shutdown service) @@ fun () ->
+  List.iter
+    (fun label ->
+      let a = check_against_exec ctx service label broad_query in
+      Alcotest.(check string) (label ^ " mined cold") "cold"
+        (Service.served_from_name a.Service.served_from))
+    [ "first run"; "repeat" ];
+  let m = Service.metrics service in
+  Alcotest.(check int) "no answer cached" 0 m.Metrics.answer_entries;
+  Alcotest.(check int) "no side cached" 0 m.Metrics.side_entries
+
+(* the service covers a side with the cached collection of fewest sets:
+   the 1-var checks a subsumed query pays count the chosen collection *)
+let service_covering_fewest_sets () =
+  let ctx = fixture () in
+  let service = Service.create ~config:{ Service.default_config with domains = 1 } ctx in
+  Fun.protect ~finally:(fun () -> Service.shutdown service) @@ fun () ->
+  let run label min_price =
+    let q =
+      Query.make ~s_minsup:0.1 ~t_minsup:0.1
+        ~s_constraints:[ One_var.Agg_cmp (Agg.Min, price, Cmp.Ge, min_price) ]
+        ()
+    in
+    let a = check_against_exec ctx service label q in
+    (Service.served_from_name a.Service.served_from, a.Service.constraint_checks)
+  in
+  (* S mines the min-price collection; T mines the unconstrained one,
+     which covers every S request too *)
+  let from_b, narrow = run "min price >= 20" 20. in
+  let from_both, chosen = run "min price >= 30" 30. in
+  let from_a, broad = run "min price >= 15" 15. in
+  Alcotest.(check (list string)) "served from"
+    [ "cold"; "subsumed"; "subsumed" ]
+    [ from_b; from_both; from_a ];
+  Alcotest.(check bool) "the two candidates differ in size" true (narrow < broad);
+  Alcotest.(check int) "the smaller collection was chosen" narrow chosen
 
 (* ------------------------------------------------------------------ *)
 (* qcheck: a (possibly cache-served) refinement returns exactly the
@@ -440,6 +594,11 @@ let suite =
     Alcotest.test_case "service: eviction at the memory budget" `Quick service_eviction_at_budget;
     Alcotest.test_case "service: condensed cache answers match raw" `Quick
       service_condensed_matches_raw;
+    Alcotest.test_case "cache: covering choice" `Quick cache_covering_choice;
+    Alcotest.test_case "cache: older epochs never served" `Quick cache_refuses_older_epochs;
+    Alcotest.test_case "cache: oversized and raced inserts" `Quick cache_insert_guards;
+    Alcotest.test_case "service: covering picks the fewest sets" `Quick
+      service_covering_fewest_sets;
     Helpers.qtest ~count:200 "lru: weight stays within budget" gen_lru_ops print_lru_ops
       prop_lru_budget_invariant;
     Helpers.qtest ~count:60 "service: refinement equals brute force" gen_refinement

@@ -319,7 +319,10 @@ let shard_pinned_mining_twin () =
 (* service: a fault pinned to one shard trips only that shard's breaker;
    other shards keep serving and the caches stay available *)
 
-let breaker_isolation () =
+(* a 3-shard service (breaker threshold and cooldown 1, no degradation)
+   that cached [q_narrow]'s answer while healthy, then failed [q_broad] on
+   a fault pinned to shard 1; the fault stays installed *)
+let with_shard_1_faulted f =
   let sets = sets_of_lists fixed_lists in
   let db = Sharded.mem_db ~page_model:small_pm ~shards:3 sets in
   let subs = Option.get (Tx_db.shards db) in
@@ -350,6 +353,10 @@ let breaker_isolation () =
   | Error (Service.Fault _) -> ()
   | Error e -> Alcotest.failf "expected a fault, got %s" (Service.error_to_string e)
   | Ok _ -> Alcotest.fail "expected a fault");
+  f service subs ~q_narrow ~q_broad
+
+let breaker_isolation () =
+  with_shard_1_faulted @@ fun service subs ~q_narrow ~q_broad ->
   let m = Service.metrics service in
   let row k = List.nth m.Metrics.shards k in
   Alcotest.(check int) "three shard rows" 3 (List.length m.Metrics.shards);
@@ -393,6 +400,53 @@ let breaker_isolation () =
     [ 0; 1; 2 ];
   Alcotest.(check int) "the cooldown shed was charged to shard 1" 1
     (row 1).Metrics.shard_shed
+
+(* the unsatisfiable-query shortcut answers cold without reading a page,
+   so it proves nothing about any shard: a half-open shard breaker waits
+   for a probe that actually scans *)
+let unsat_probe_proves_no_shard () =
+  with_shard_1_faulted @@ fun service subs ~q_narrow ~q_broad ->
+  let breaker k =
+    (List.nth (Service.metrics service).Metrics.shards k).Metrics.shard_breaker
+  in
+  Tx_db.set_faults subs.(1) None;
+  (* the global cooldown serves the cached query; shard 1's sheds *)
+  (match Service.run service q_narrow with
+  | Ok a ->
+      Alcotest.(check bool) "cache served" true (a.Service.served_from = Service.Answer_cache)
+  | Error e -> Alcotest.failf "cached query: %s" (Service.error_to_string e));
+  (match Service.run service q_broad with
+  | Error Service.Overloaded -> ()
+  | _ -> Alcotest.fail "expected the shard cooldown to shed");
+  Alcotest.(check string) "shard 1 half-open" "half-open" (breaker 1);
+  let unsat =
+    Query.make ~s_minsup:0.1 ~t_minsup:0.1
+      ~s_constraints:
+        Cfq_constr.
+          [
+            One_var.Agg_cmp (Agg.Max, Helpers.price, Cmp.Le, 1.);
+            One_var.Agg_cmp (Agg.Max, Helpers.price, Cmp.Ge, 100.);
+          ]
+      ()
+  in
+  (match Service.run service unsat with
+  | Ok a ->
+      Alcotest.(check string) "unsatisfiable probe served cold" "cold"
+        (Service.served_from_name a.Service.served_from);
+      Alcotest.(check int) "without a scan" 0 a.Service.scans
+  | Error e -> Alcotest.failf "unsatisfiable probe: %s" (Service.error_to_string e));
+  Alcotest.(check string) "shard 1 still half-open" "half-open" (breaker 1);
+  (match Service.run service q_broad with
+  | Ok a ->
+      Alcotest.(check bool) "real probe mined cold" true
+        (a.Service.served_from = Service.Cold && a.Service.scans > 0)
+  | Error e -> Alcotest.failf "probe: %s" (Service.error_to_string e));
+  List.iter
+    (fun k ->
+      Alcotest.(check string)
+        (Printf.sprintf "shard %d closed by the real probe" k)
+        "closed" (breaker k))
+    [ 0; 1; 2 ]
 
 (* a store-wide injector on the composite keeps shard breakers out of it:
    the failure is not attributable to any one shard *)
@@ -835,6 +889,7 @@ let suite =
     unit "fault twin: shard-pinned injector is deterministic" shard_pinned_fault_twin;
     unit "fault twin: mining outcome deterministic at domains=3" shard_pinned_mining_twin;
     unit "service: breaker isolation per shard" breaker_isolation;
+    unit "service: unsatisfiable probe leaves shard breakers" unsat_probe_proves_no_shard;
     unit "service: composite faults stay store-wide" composite_fault_is_store_wide;
     unit "failed build leaves no orphans" failed_build_leaves_no_orphans;
     unit "open self-heals a stale manifest" open_self_heals_a_stale_manifest;
