@@ -253,14 +253,16 @@ let iter_subsets_k s k f =
     next ()
   end
 
-let iter_delete_one s f =
+let iter_delete_each s f =
   let n = Array.length s in
   for d = 0 to n - 1 do
     let out = Array.make (n - 1) 0 in
     Array.blit s 0 out 0 d;
     Array.blit s (d + 1) out d (n - 1 - d);
-    f out
+    f s.(d) out
   done
+
+let iter_delete_one s f = iter_delete_each s (fun _ d -> f d)
 
 let powerset s f =
   let n = Array.length s in

@@ -85,6 +85,10 @@ val iter_subsets_k : t -> int -> (t -> unit) -> unit
     obtained by deleting exactly one item. *)
 val iter_delete_one : t -> (t -> unit) -> unit
 
+(** [iter_delete_each s f] applies [f i (remove i s)] to each item [i] of
+    [s], in increasing order of [i]. *)
+val iter_delete_each : t -> (Item.t -> t -> unit) -> unit
+
 (** [powerset s f] applies [f] to all [2^n] subsets of [s] (small sets only;
     raises [Invalid_argument] above 20 items). *)
 val powerset : t -> (t -> unit) -> unit

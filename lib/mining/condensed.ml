@@ -56,66 +56,67 @@ let max_closed_card = 20
      array order byte for byte.
    CAP output and FUP promotions satisfy all three; collections filtered by a
    non-anti-monotone succinct constraint (e.g. Dom ⊇ V) fail the closure
-   check and stay raw. *)
-let condensable freq =
-  let ml = Frequent.max_level freq in
-  if ml > max_closed_card then false
-  else begin
+   check and stay raw.  The closure check needs each set's delete-one
+   subsets, which is the walk [Frequent.closed_when] makes to close the
+   collection, so it rides along: [None] when not condensable. *)
+let lex_sorted freq =
+  let sorted lvl =
     let ok = ref true in
-    (try
-       for k = 1 to ml do
-         let lvl = Frequent.level freq k in
-         Array.iteri
-           (fun i (e : Frequent.entry) ->
-             if i > 0 && Itemset.compare lvl.(i - 1).Frequent.set e.set >= 0
-             then raise Exit;
-             if k >= 2 then
-               Itemset.iter_delete_one e.set (fun d ->
-                   match Frequent.support freq d with
-                   | Some sup when sup >= e.support -> ()
-                   | Some _ | None -> raise Exit))
-           lvl
-       done
-     with Exit -> ok := false);
+    for i = 1 to Array.length lvl - 1 do
+      if Itemset.compare lvl.(i - 1).Frequent.set lvl.(i).Frequent.set >= 0
+      then ok := false
+    done;
     !ok
-  end
+  in
+  List.for_all
+    (fun k -> sorted (Frequent.level freq k))
+    (List.init (Frequent.max_level freq) (fun k -> k + 1))
 
-let closed_buckets freq =
-  let ml = Frequent.max_level freq in
-  let buckets = Array.make (max ml 1) [] in
-  (* Frequent.closed yields entries in level order, lex within a level, so
-     rev-consing per bucket keeps each bucket lex-sorted. *)
+let condensable_closed freq =
+  if Frequent.max_level freq > max_closed_card || not (lex_sorted freq) then
+    None
+  else
+    Frequent.closed_when
+      (fun k (e : Frequent.entry) sub_support ->
+        k < 2
+        || match sub_support with Some sup -> sup >= e.support | None -> false)
+      freq
+
+let closed_buckets freq closed =
+  let buckets = Array.make (max (Frequent.max_level freq) 1) [] in
+  (* closed entries come in level order, lex within a level, so rev-consing
+     per bucket keeps each bucket lex-sorted. *)
   List.iter
     (fun (e : Frequent.entry) ->
       let k = Itemset.cardinal e.set in
       buckets.(k - 1) <- e :: buckets.(k - 1))
-    (Frequent.closed freq);
+    closed;
   Array.map (fun l -> Array.of_list (List.rev l)) buckets
 
 let of_frequent ?(force = false) freq =
   let r = raw freq in
-  if r.n_sets = 0 || not (condensable freq) then r
-  else begin
-    let buckets = closed_buckets freq in
-    let n_closed =
-      Array.fold_left (fun acc l -> acc + Array.length l) 0 buckets
-    in
-    let stored =
-      Array.fold_left
-        (Array.fold_left (fun acc e -> acc + entry_weight e))
-        160 buckets
-    in
-    if force || stored < r.raw_bytes then
-      {
-        repr = Closed buckets;
-        n_sets = r.n_sets;
-        n_closed;
-        max_level = r.max_level;
-        raw_bytes = r.raw_bytes;
-        stored_bytes = stored;
-      }
-    else r
-  end
+  match if r.n_sets = 0 then None else condensable_closed freq with
+  | None -> r
+  | Some closed ->
+      let buckets = closed_buckets freq closed in
+      let n_closed =
+        Array.fold_left (fun acc l -> acc + Array.length l) 0 buckets
+      in
+      let stored =
+        Array.fold_left
+          (Array.fold_left (fun acc e -> acc + entry_weight e))
+          160 buckets
+      in
+      if force || stored < r.raw_bytes then
+        {
+          repr = Closed buckets;
+          n_sets = r.n_sets;
+          n_closed;
+          max_level = r.max_level;
+          raw_bytes = r.raw_bytes;
+          stored_bytes = stored;
+        }
+      else r
 
 let to_frequent t =
   match t.repr with

@@ -56,32 +56,49 @@ let filter_entries p t =
 
 let filter p t = filter_entries (fun e -> p e.set) t
 
-let closed t =
+(* Closedness and maximality look one level up only: [e] is absorbed by, or
+   extends to, some [e ∪ {i}] with [i ∈ L1].  Rather than probing every L1
+   extension of every set (n·|L1| lookups), walk each set's delete-one
+   subsets once (Σ|f| steps) and record, against each [f ∖ {i}] with
+   [i ∈ L1], the support of [f].  [check], when given, sees each entry's
+   level, the entry and the support of each of its delete-one subsets; a
+   [false] stops the walk. *)
+exception Stop
+
+let extensions ?check t =
   let l1 = l1_items t in
-  fold
-    (fun acc e ->
-      let absorbed =
-        Itemset.exists
-          (fun i ->
-            (not (Itemset.mem i e.set))
-            && support t (Itemset.add i e.set) = Some e.support)
-          l1
-      in
-      if absorbed then acc else e :: acc)
-    [] t
-  |> List.rev
+  let ext = Itemset.Hashtbl.create (2 * n_sets t) in
+  let n_entries = Array.fold_left (fun n l -> n + Array.length l) 0 t.levels in
+  (* a set listed twice counts with its last support, as [support] has it *)
+  let support_of e =
+    if n_entries = n_sets t then e.support else Option.get (support t e.set)
+  in
+  Array.iteri
+    (fun k1 lvl ->
+      Array.iter
+        (fun f ->
+          let sf = support_of f in
+          Itemset.iter_delete_each f.set (fun i d ->
+              (match check with
+              | Some ok when not (ok (k1 + 1) f (support t d)) -> raise Stop
+              | _ -> ());
+              if Itemset.mem i l1 then Itemset.Hashtbl.add ext d sf))
+        lvl)
+    t.levels;
+  ext
+
+let keep p t = List.rev (fold (fun acc e -> if p e then e :: acc else acc) [] t)
+
+let closed_in ext t =
+  keep (fun e -> not (List.mem e.support (Itemset.Hashtbl.find_all ext e.set))) t
+
+let closed t = closed_in (extensions t) t
+
+let closed_when check t =
+  match extensions ~check t with
+  | ext -> Some (closed_in ext t)
+  | exception Stop -> None
 
 let maximal t =
-  (* a set is maximal iff none of its single-item extensions within L1 is
-     frequent; checking against the next level suffices *)
-  let l1 = l1_items t in
-  fold
-    (fun acc e ->
-      let extendable =
-        Itemset.exists
-          (fun i -> (not (Itemset.mem i e.set)) && mem t (Itemset.add i e.set))
-          l1
-      in
-      if extendable then acc else e :: acc)
-    [] t
-  |> List.rev
+  let ext = extensions t in
+  keep (fun e -> not (Itemset.Hashtbl.mem ext e.set)) t

@@ -51,3 +51,10 @@ val maximal : t -> entry list
     support — the lossless compression of the collection (every frequent
     set's support is recoverable from its smallest closed superset). *)
 val closed : t -> entry list
+
+(** [closed_when check t] is [Some (closed t)] when [check k e sup] holds
+    for every entry [e] at level [k] and the support [sup] (as {!support}
+    gives it) of each of [e]'s delete-one subsets, and [None] as soon as
+    one fails.  The check rides the walk [closed] makes anyway, so a caller
+    that must vet the collection before closing it pays for one pass. *)
+val closed_when : (int -> entry -> int option -> bool) -> t -> entry list option
