@@ -290,52 +290,6 @@ let cap_1var scale =
     ];
   Table.print t
 
-(* Not a paper artifact: the frequent-set mining substrates head to head on
-   the same Quest database (the CFQ engines are built on the levelwise one;
-   the others serve as oracles and baselines). *)
-let miners scale =
-  header "Mining substrates on one Quest database (unconstrained)";
-  let db = Workloads.quest_db { scale with Workloads.n_tx = scale.Workloads.n_tx / 2 } in
-  let n = scale.Workloads.n_items in
-  let minsup = max 1 (Cfq_txdb.Tx_db.size db / 200) in
-  let info =
-    Cfq_quest.Item_gen.item_info
-      ~prices:
-        (Cfq_quest.Item_gen.uniform_prices
-           (Cfq_quest.Splitmix.create ~seed:5L)
-           ~n ~lo:0. ~hi:1000.)
-      ()
-  in
-  let t = Table.create [ "algorithm"; "frequent sets"; "scans"; "cpu(s)" ] in
-  let timed name f =
-    Gc.compact ();
-    let io = Cfq_txdb.Io_stats.create () in
-    let t0 = Sys.time () in
-    let frequent = f io in
-    let dt = Sys.time () -. t0 in
-    Table.add_row t
-      [
-        name;
-        string_of_int (Frequent.n_sets frequent);
-        string_of_int (Cfq_txdb.Io_stats.scans io);
-        Table.fcell dt;
-      ]
-  in
-  timed "apriori (levelwise/trie)" (fun io ->
-      (Apriori.mine db info io ~minsup ()).Apriori.frequent);
-  timed "fp-growth" (fun io -> Fp_growth.mine db io ~minsup ~universe_size:n);
-  timed "eclat (vertical)" (fun io ->
-      Vertical.mine (Vertical.build db io ~universe_size:n) ~minsup);
-  timed "partition (2 scans)" (fun io ->
-      Partition.mine db io ~minsup ~n_partitions:4 ~universe_size:n);
-  timed "dhp (hash filter)" (fun io ->
-      (Dhp.mine db io ~minsup ~universe_size:n ~n_buckets:5003).Dhp.frequent);
-  timed "apriori-tid" (fun io ->
-      (Apriori_tid.mine db io ~minsup ~universe_size:n).Apriori_tid.frequent);
-  timed "sampling (Toivonen)" (fun io ->
-      (Sampling.mine db io ~minsup ~universe_size:n ~sample_frac:0.2 ()).Sampling.frequent);
-  Table.print t
-
 (* Engineering benches: FUP incremental maintenance vs re-mining, and
    parallel counting scalability. *)
 let maintenance scale =
@@ -377,16 +331,34 @@ let maintenance scale =
         string_of_int (Frequent.n_sets frequent);
         string_of_int (Cfq_txdb.Io_stats.pages_read io);
         Table.fcell (Sys.time () -. t0);
-      ]
+      ];
+    frequent
   in
-  timed "re-mine the union" (fun io ->
-      (Apriori.mine union info io ~minsup:(Cfq_txdb.Tx_db.absolute_support union frac) ())
-        .Apriori.frequent);
-  timed "FUP update" (fun io ->
-      (Incremental.update ~old_db ~old_frequent ~delta io ~minsup_frac:frac
-         ~universe_size:scale.Workloads.n_items)
-        .Incremental.frequent);
-  Table.print t
+  let remined =
+    timed "re-mine the union" (fun io ->
+        (Apriori.mine union info io ~minsup:(Cfq_txdb.Tx_db.absolute_support union frac) ())
+          .Apriori.frequent)
+  in
+  let fup =
+    timed "FUP update" (fun io ->
+        (Incremental.update ~old_db ~old_frequent ~delta io ~minsup_frac:frac
+           ~universe_size:scale.Workloads.n_items)
+          .Incremental.frequent)
+  in
+  Table.print t;
+  (* set for set, support for support: FUP must be a re-mine, only cheaper *)
+  let same =
+    Frequent.n_sets fup = Frequent.n_sets remined
+    && Frequent.fold
+         (fun acc e -> acc && Frequent.support remined e.Frequent.set = Some e.Frequent.support)
+         true fup
+  in
+  if not same then begin
+    Printf.printf "FAIL: the FUP collection differs from the re-mined union\n";
+    exit 1
+  end;
+  Printf.printf "PASS: FUP equals the re-mined union (%d sets, equal supports)\n"
+    (Frequent.n_sets fup)
 
 let parallel scale =
   header "Parallel trie counting (OCaml 5 domains), one heavy level-2 pass";
@@ -458,7 +430,6 @@ let run_all () =
   let s73 = tab73_jmax scale in
   ablation_dovetail scale;
   cap_1var scale;
-  miners scale;
   maintenance scale;
   parallel scale;
   shapes_ok s8a s8b s73

@@ -5,6 +5,7 @@
            FULL=1 dune exec bench/main.exe     (paper scale: 100k transactions)
            dune exec bench/main.exe -- micro   (microbenchmarks only)
            dune exec bench/main.exe -- fig8a   (one experiment)
+           dune exec bench/main.exe -- maintenance (FUP vs re-mine, asserts equal)
            dune exec bench/main.exe -- session (service cache vs cold replay)
            dune exec bench/main.exe -- chaos   (session under injected faults)
            dune exec bench/main.exe -- store   (persistent backend: buffer pool)
@@ -26,7 +27,6 @@ let () =
   | [ "tab72_ranges" ] -> Experiments.tab72_ranges (scale ())
   | [ "tab73_jmax" ] -> ignore (Experiments.tab73_jmax (scale ()))
   | [ "ablation" ] -> Experiments.ablation_dovetail (scale ())
-  | [ "miners" ] -> Experiments.miners (scale ())
   | [ "cap_1var" ] -> Experiments.cap_1var (scale ())
   | [ "maintenance" ] -> Experiments.maintenance (scale ())
   | [ "parallel" ] -> Experiments.parallel (scale ())
@@ -39,5 +39,5 @@ let () =
   | _ ->
       prerr_endline
         "usage: main.exe \
-         [micro|fig8a|tab71_levels|tab71_ranges|fig8b|tab72_ranges|tab73_jmax|ablation|miners|cap_1var|maintenance|parallel|counting|session|chaos|store|shard|live]";
+         [micro|fig8a|tab71_levels|tab71_ranges|fig8b|tab72_ranges|tab73_jmax|ablation|cap_1var|maintenance|parallel|counting|session|chaos|store|shard|live]";
       exit 2

@@ -57,15 +57,8 @@ let tests () =
       (Staged.stage (fun () -> Item_info.sum_of info price big));
   ]
 
-(* counting backends, bit vectors and pair joins get their own fixtures *)
+(* bit vectors and pair joins get their own fixtures *)
 let tests_extra () =
-  let rng = Splitmix.create ~seed:97L in
-  let db =
-    Quest_gen.generate rng { (Quest_gen.scaled 2000) with Quest_gen.n_items = 300 }
-  in
-  let io = Cfq_txdb.Io_stats.create () in
-  let vertical = Vertical.build db io ~universe_size:300 in
-  let probe = Itemset.of_list [ 3; 40; 77 ] in
   let a = Bitvec.of_itemset ~universe_size:1000 (Itemset.of_array (Array.init 100 (fun i -> i * 7))) in
   let b = Bitvec.of_itemset ~universe_size:1000 (Itemset.of_array (Array.init 100 (fun i -> i * 5))) in
   let info =
@@ -87,7 +80,6 @@ let tests_extra () =
       ~two_var ()
   in
   [
-    Test.make ~name:"vertical-support" (Staged.stage (fun () -> Vertical.support vertical probe));
     Test.make ~name:"bitvec-inter-card" (Staged.stage (fun () -> Bitvec.inter_cardinal a b));
     Test.make ~name:"bitvec-union" (Staged.stage (fun () -> Bitvec.union a b));
     Test.make ~name:"pairs-sort-join-400x400" (Staged.stage (form [ minmax ]));

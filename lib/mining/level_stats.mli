@@ -6,12 +6,12 @@ type row = {
   level : int;
   candidates : int;  (** sets generated for this level *)
   counted : int;
-      (** sets actually counted for support (fewer than [candidates] when a
-          prefilter, e.g. the DHP hash buckets, discarded some first) *)
+      (** sets actually counted for support.  {!Cap.absorb} records the
+          candidate count unless its caller passes a smaller [?counted] *)
   frequent : int;  (** sets found frequent *)
   kernel : string;
       (** counting kernel that produced the supports of this level
-          ("trie", "direct2", "vertical", "dhp-hash", ...) *)
+          ("trie", "direct2", "vertical", "fup-delta", ...) *)
 }
 
 type t

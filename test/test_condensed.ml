@@ -6,7 +6,9 @@
    five backend matrices.  On-demand support/membership and the maximal
    wire round-trip are checked against the raw collection.  [Frequent.closed]
    and [Frequent.maximal] (a delete-one walk) are checked against their
-   definitional L1-probe forms, kept here as the reference. *)
+   definitional L1-probe forms, kept here as the reference, and on worked
+   examples and the covering properties (every frequent set has a closed
+   superset of equal support and lies inside some maximal set). *)
 
 open Cfq_itembase
 open Cfq_txdb
@@ -440,4 +442,52 @@ let suite =
       gen_promoted print_promoted prop_reference_promoted;
     Helpers.qtest ~count:200 "closed/maximal equal the L1 probe: arbitrary"
       gen_arbitrary print_arbitrary prop_reference_arbitrary;
+    unit "maximal sets" (fun () ->
+        let db =
+          Helpers.db_of_lists [ [ 0; 1; 2 ]; [ 0; 1; 2 ]; [ 3 ]; [ 3 ]; [ 0; 3 ] ]
+        in
+        let io = Io_stats.create () in
+        let f = (Apriori.mine db (Helpers.small_info 4) io ~minsup:2 ()).Apriori.frequent in
+        let maximal = Frequent.maximal f in
+        let sets = List.map (fun e -> Itemset.to_string e.Frequent.set) maximal in
+        (* {0,1,2} and {3} are maximal; {0,3} appears once only *)
+        Alcotest.(check (list string)) "maximal" [ "{i3}"; "{i0,i1,i2}" ] sets);
+    unit "closed sets compress losslessly" (fun () ->
+        let db = Helpers.db_of_lists [ [ 0; 1 ]; [ 0; 1 ]; [ 0 ] ] in
+        let io = Io_stats.create () in
+        let f = (Apriori.mine db (Helpers.small_info 2) io ~minsup:2 ()).Apriori.frequent in
+        (* {0} support 3 closed; {1} support 2 absorbed by {0,1} support 2 *)
+        let closed = Frequent.closed f in
+        let names = List.map (fun e -> Itemset.to_string e.Frequent.set) closed in
+        Alcotest.(check (list string)) "closed" [ "{i0}"; "{i0,i1}" ] names);
+    Helpers.qtest ~count:60 "every frequent set has a closed superset of equal support"
+      Helpers.gen_db Helpers.print_db (fun (n, db) ->
+        let io = Io_stats.create () in
+        let f =
+          (Apriori.mine db (Helpers.small_info n) io ~minsup:(max 1 (Tx_db.size db / 5)) ())
+            .Apriori.frequent
+        in
+        let closed = Frequent.closed f in
+        Frequent.fold
+          (fun acc e ->
+            acc
+            && List.exists
+                 (fun c ->
+                   Itemset.subset e.Frequent.set c.Frequent.set
+                   && c.Frequent.support = e.Frequent.support)
+                 closed)
+          true f);
+    Helpers.qtest ~count:60 "every frequent set is contained in some maximal set"
+      Helpers.gen_db Helpers.print_db (fun (n, db) ->
+        let io = Io_stats.create () in
+        let f =
+          (Apriori.mine db (Helpers.small_info n) io ~minsup:(max 1 (Tx_db.size db / 5)) ())
+            .Apriori.frequent
+        in
+        let maximal = Frequent.maximal f in
+        Frequent.fold
+          (fun acc e ->
+            acc
+            && List.exists (fun m -> Itemset.subset e.Frequent.set m.Frequent.set) maximal)
+          true f);
   ]

@@ -391,52 +391,6 @@ let test_kernel_names_roundtrip () =
     "unknown rejected" true
     (Counting.kernel_of_string "quantum" = None)
 
-(* ------------------------------------------------------------------ *)
-(* Vertical scratch reuse (satellite): batched probes match singles     *)
-(* ------------------------------------------------------------------ *)
-
-let test_vertical_scratch_reuse () =
-  let db = dense_db () in
-  let io = Io_stats.create () in
-  let v = Vertical.build db io ~universe_size:6 in
-  let cands =
-    Array.of_list
-      (List.filter
-         (fun s -> not (Itemset.is_empty s))
-         (Helpers.all_subsets 6))
-  in
-  let batched = Vertical.supports v cands in
-  let scratch = Vertical.scratch v in
-  Array.iteri
-    (fun i s ->
-      Alcotest.(check int)
-        ("support of " ^ Itemset.to_string s)
-        (Vertical.support v s) batched.(i);
-      Alcotest.(check int)
-        ("scratch support of " ^ Itemset.to_string s)
-        batched.(i)
-        (Vertical.support_into v scratch s))
-    cands
-
-(* ------------------------------------------------------------------ *)
-(* DHP level rows (satellite): bucket filter visible in Level_stats     *)
-(* ------------------------------------------------------------------ *)
-
-let test_dhp_rows () =
-  let db = dense_db () in
-  let io = Io_stats.create () in
-  let out = Dhp.mine db io ~minsup:4 ~universe_size:6 ~n_buckets:7 in
-  let rows = Level_stats.rows out.Dhp.stats in
-  let l2 = List.find (fun r -> r.Level_stats.level = 2) rows in
-  Alcotest.(check int) "l2 candidates" out.Dhp.c2_plain l2.Level_stats.candidates;
-  Alcotest.(check int) "l2 counted" out.Dhp.c2_filtered l2.Level_stats.counted;
-  Alcotest.(check string) "l2 kernel" "dhp-bucket" l2.Level_stats.kernel;
-  let l1 = List.find (fun r -> r.Level_stats.level = 1) rows in
-  Alcotest.(check string) "l1 kernel" "dhp-fused" l1.Level_stats.kernel;
-  Alcotest.(check bool)
-    "filter can only shrink" true
-    (out.Dhp.c2_filtered <= out.Dhp.c2_plain)
-
 let suite =
   [
     Helpers.qtest ~count:60 "apriori frequent sets and ccc are kernel-independent"
@@ -461,6 +415,4 @@ let suite =
     unit "auto session reports adaptive activity" test_auto_projects;
     unit "auto fused bitmap build saves whole scans" test_auto_fused_build_saves_scans;
     unit "kernel names round-trip" test_kernel_names_roundtrip;
-    unit "vertical scratch reuse matches single probes" test_vertical_scratch_reuse;
-    unit "dhp bucket filter visible in level rows" test_dhp_rows;
   ]

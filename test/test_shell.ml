@@ -57,6 +57,15 @@ let suite =
         Alcotest.(check bool) "strategy in output" true (contains o "apriori+");
         Alcotest.(check bool) "unknown rejected" true
           (contains (out t "set strategy bogus") "unknown strategy"));
+    unit "set fault takes an integer seed and reports the one it uses" (fun () ->
+        let t = session_with_db () in
+        List.iter
+          (fun line ->
+            Alcotest.(check bool) line true (contains (out t line) "usage: set fault"))
+          [ "set fault 0.5 0 1.7"; "set fault 0.5 0 nan" ];
+        Alcotest.(check bool) "seed reported" true
+          (contains (out t "set fault 0.5 0 7") "seed=7");
+        ignore (out t "set fault off"));
     unit "explain does not execute" (fun () ->
         let t = session_with_db () in
         let o = out t "explain max(S.Price) <= min(T.Price)" in
